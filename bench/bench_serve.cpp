@@ -27,6 +27,7 @@
 #include "diag/Json.h"
 #include "serve/Serve.h"
 #include "shard/LineProto.h"
+#include "support/ScratchDir.h"
 
 #include <algorithm>
 #include <atomic>
@@ -256,8 +257,8 @@ int main(int argc, char **argv) {
   ::signal(SIGPIPE, SIG_IGN);
 
   std::vector<CorpusItem> Corpus = buildCorpus(Smoke);
-  std::string WorkRoot = "/tmp/hglift_bench_serve";
-  std::filesystem::remove_all(WorkRoot);
+  ScratchDir Work("hglift_bench_serve");
+  const std::string &WorkRoot = Work.path();
   std::vector<std::string> Paths = corpusToDisk(Corpus, WorkRoot + "/elfs");
   std::printf("serve bench: %zu corpus binaries%s\n\n", Paths.size(),
               Smoke ? " (smoke)" : "");

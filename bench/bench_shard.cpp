@@ -37,6 +37,7 @@
 #include "shard/Shard.h"
 #include "smt/RelationSolver.h"
 #include "support/Format.h"
+#include "support/ScratchDir.h"
 
 #include <algorithm>
 #include <cctype>
@@ -437,7 +438,8 @@ int main(int argc, char **argv) {
               (unsigned long long)Diff.Disagreements);
 
   // Phase 3: shard byte identity (2 and 4 workers vs serial).
-  std::string WorkRoot = "/tmp/hglift_bench_shard";
+  ScratchDir Work("hglift_bench_shard");
+  const std::string &WorkRoot = Work.path();
   std::vector<std::string> Paths = corpusToDisk(Corpus, WorkRoot + "/elfs");
   ShardRun Serial = runShardMode(Paths, WorkRoot + "/cache_serial", 1);
   ShardRun Two = runShardMode(Paths, WorkRoot + "/cache_2", 2);

@@ -26,8 +26,10 @@ struct Segment {
   bool Write = false;
 
   uint64_t end() const { return VAddr + Bytes.size(); }
+  /// [A, A + Size) lies inside the segment. Written without A + Size,
+  /// which wraps for addresses near UINT64_MAX.
   bool contains(uint64_t A, uint64_t Size = 1) const {
-    return A >= VAddr && A + Size <= end();
+    return A >= VAddr && A <= end() && Size <= end() - A;
   }
 };
 

@@ -86,10 +86,11 @@ struct LiftConfig {
 };
 
 /// Everything one function lift allocates from: the hash-consing expression
-/// context, the relation solver (with its cache and Z3 backend), and the
-/// symbolic executor. Expressions are interned pointers — comparable only
-/// within one context — so any consumer reading a FunctionResult's
-/// predicates must use that result's arena context, not another lifter's.
+/// context, the relation solver (with its cache and lazily built Z3
+/// backend), and the symbolic executor. Expressions are interned pointers —
+/// comparable only within one context — so any consumer reading a
+/// FunctionResult's predicates must use that result's arena context, not
+/// another lifter's.
 class LiftArena {
 public:
   LiftArena(const elf::BinaryImage &Img, const LiftConfig &Cfg);

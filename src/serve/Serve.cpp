@@ -334,13 +334,14 @@ void processJob(Server &S, store::CacheStore *Store, Job &J) {
     MaxInsns = MaxInsns ? std::min(MaxInsns, R.MaxInsns) : R.MaxInsns;
 
   // Whole-file dedup: keyed by content digest plus everything that can
-  // change the payload. A hit replays the memoized result under this
+  // change the payload, the file's base name included (the report's
+  // "binary" field). A hit replays the memoized result under this
   // request's id — no ELF parse, no store lookup, no lift.
   std::string Key;
   {
     std::ostringstream K;
     K << std::hex << fnv64(*Bytes) << '|' << R.Op << '|' << R.Library << '|'
-      << MaxSec << '|' << MaxInsns;
+      << MaxSec << '|' << MaxInsns << '|' << baseName(R.File);
     Key = K.str();
   }
   if (S.Opt.MemoMax > 0) {

@@ -666,6 +666,11 @@ ShardResult runShards(const ShardOptions &Opt) {
       CrashSlot = std::strtol(TC, nullptr, 10);
     if (const char *TC = std::getenv("HGLIFT_SHARD_TEST_CRASH_MIDCLAIM"))
       MidClaimSlot = std::strtol(TC, nullptr, 10);
+    // The mid-claim hook fires only once its worker is granted a unit, and
+    // fast lifts let the other workers drain the queue first. Keep them
+    // parked until that worker has claimed a unit or exited.
+    bool HoldForMidClaim =
+        MidClaimSlot >= 0 && MidClaimSlot < static_cast<long>(W);
 
     // Dead workers must surface as EPIPE on the grant pipe, not kill the
     // parent (which may be a test harness) with SIGPIPE.
@@ -697,6 +702,8 @@ ShardResult runShards(const ShardOptions &Opt) {
       WorkerSlot &S = Slots[SlotIdx];
       if (!S.Alive || S.ByeSent || S.Claimed >= 0 || !S.Parked)
         return;
+      if (HoldForMidClaim && static_cast<long>(SlotIdx) != MidClaimSlot)
+        return;
       if (DoneCount == N) {
         S.Parked = false;
         S.ByeSent = true;
@@ -715,6 +722,8 @@ ShardResult runShards(const ShardOptions &Opt) {
       ClaimedFlag[Id] = 1;
       S.Claimed = Id;
       S.Parked = false;
+      if (static_cast<long>(SlotIdx) == MidClaimSlot)
+        HoldForMidClaim = false;
       ++R.Sched.Claims;
       if (Opt.WorkStealing && Units[Id].RROwner != SlotIdx)
         ++R.Sched.Steals;
@@ -745,6 +754,8 @@ ShardResult runShards(const ShardOptions &Opt) {
       S.ReqR = -1;
       S.GrantW = -1;
       S.Alive = false;
+      if (static_cast<long>(SlotIdx) == MidClaimSlot)
+        HoldForMidClaim = false;
       bool Clean = S.ByeSent && S.Claimed < 0 && WIFEXITED(Status) &&
                    WEXITSTATUS(Status) == toExit(ExitCode::Ok);
       if (Clean)

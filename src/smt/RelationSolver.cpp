@@ -150,14 +150,17 @@ AllocClass classifyAddr(const Expr *Addr, const ExprContext &Ctx) {
 }
 
 RelationSolver::RelationSolver(ExprContext &Ctx, Config Cfg)
-    : Ctx(Ctx), Cfg(Cfg) {
-#ifdef HGLIFT_WITH_Z3
-  if (Cfg.UseZ3)
-    Z3 = std::make_unique<Z3Backend>();
-#endif
-}
+    : Ctx(Ctx), Cfg(Cfg) {}
 
 RelationSolver::~RelationSolver() = default;
+
+#ifdef HGLIFT_WITH_Z3
+Z3Backend &RelationSolver::z3() {
+  if (!Z3)
+    Z3 = std::make_unique<Z3Backend>();
+  return *Z3;
+}
+#endif
 
 namespace {
 /// Delta = addr0 - addr1, constant. The no-wraparound assumption for
@@ -516,7 +519,7 @@ RelationSolver::decidePortfolio(const Region &R0, const Region &R1,
   }
 
 #ifdef HGLIFT_WITH_Z3
-  if (Z3) {
+  if (Cfg.UseZ3) {
     if (admitSkipsZ3(R0, R1, L0, L1, P)) {
       ++S.Tier2Skipped;
       if (LS)
@@ -525,9 +528,10 @@ RelationSolver::decidePortfolio(const Region &R0, const Region &R1,
       ++S.Z3Queries;
       if (LS)
         ++LS->Z3Queries;
-      MemRel ZR = Z3->query(R0, R1, P, Ctx, /*Persistent=*/true);
-      S.Z3TransEvictions = Z3->numEvictions();
-      S.Z3CtxReuses = Z3->numCtxReuses();
+      Z3Backend &B = z3();
+      MemRel ZR = B.query(R0, R1, P, Ctx, /*Persistent=*/true);
+      S.Z3TransEvictions = B.numEvictions();
+      S.Z3CtxReuses = B.numCtxReuses();
       if (ZR != MemRel::Unknown)
         return Decision{ZR, Tier::Z3, false};
     }
@@ -574,12 +578,13 @@ RelationSolver::decideLegacy(const Region &R0, const Region &R1,
 #ifdef HGLIFT_WITH_Z3
   // Without range clauses Z3 has no information beyond the syntactic core
   // and every query would come back Unknown; skip the round trip.
-  if (Z3 && !P.ranges().empty()) {
+  if (Cfg.UseZ3 && !P.ranges().empty()) {
     ++S.Z3Queries;
     if (LS)
       ++LS->Z3Queries;
-    MemRel R = Z3->query(R0, R1, P, Ctx, /*Persistent=*/false);
-    S.Z3TransEvictions = Z3->numEvictions();
+    Z3Backend &B = z3();
+    MemRel R = B.query(R0, R1, P, Ctx, /*Persistent=*/false);
+    S.Z3TransEvictions = B.numEvictions();
     if (R != MemRel::Unknown)
       return Decision{R, Tier::Z3, false};
   }
@@ -620,10 +625,10 @@ RelationSolver::decideWithTierOnly(const Region &R0, const Region &R1,
   }
   case Tier::Z3: {
 #ifdef HGLIFT_WITH_Z3
-    if (Z3) {
+    if (Cfg.UseZ3) {
       // The trusted oracle: a fresh solver, no admission filter, no
       // empty-ranges skip.
-      MemRel R = Z3->query(R0, R1, P, Ctx, /*Persistent=*/false);
+      MemRel R = z3().query(R0, R1, P, Ctx, /*Persistent=*/false);
       return Decision{R, R != MemRel::Unknown ? Tier::Z3 : Tier::None,
                       false};
     }
@@ -645,9 +650,9 @@ bool RelationSolver::mustEqual(const Expr *E0, const Expr *E1,
   if (L0.sameBase(L1))
     return L0.Constant == L1.Constant;
 #ifdef HGLIFT_WITH_Z3
-  if (Z3) {
+  if (Cfg.UseZ3) {
     if (!Cfg.EnableCache)
-      return Z3->mustEqual(E0, E1, P, Ctx);
+      return z3().mustEqual(E0, E1, P, Ctx);
     EqKey Key{E0, E1, P.version()};
     if (auto It = EqCache.find(Key); It != EqCache.end()) {
       ++S.CacheHits;
@@ -658,8 +663,9 @@ bool RelationSolver::mustEqual(const Expr *E0, const Expr *E1,
     ++S.CacheMisses;
     if (LS)
       ++LS->RelCacheMisses;
-    bool Eq = Z3->mustEqual(E0, E1, P, Ctx);
-    S.Z3TransEvictions = Z3->numEvictions();
+    Z3Backend &B = z3();
+    bool Eq = B.mustEqual(E0, E1, P, Ctx);
+    S.Z3TransEvictions = B.numEvictions();
     boundCaches(Key.Ver);
     EqCache.emplace(Key, Eq);
     return Eq;

@@ -16,10 +16,13 @@
 //   tier 2  Z3 with a persistent, batched-assertion context, exactly as
 //           the paper uses Z3 ("the SMT solver Z3 is used to establish
 //           whether these necessarily-relations hold for symbolic
-//           addresses"). An admission filter skips round trips that
-//           provably (or, for the Eq-guarded free-variable rule,
-//           empirically) cannot yield a definite relation; a skipped
-//           query degrades to Unknown, which is always sound.
+//           addresses"). The context is built on the first admitted
+//           round trip, so a solver whose queries all resolve in the
+//           cheap tiers never pays for one. An admission filter skips
+//           round trips that provably (or, for the Eq-guarded
+//           free-variable rule, empirically) cannot yield a definite
+//           relation; a skipped query degrades to Unknown, which is
+//           always sound.
 //
 // Config::Portfolio = false is the ablation switch back to the historical
 // single-pass path: no linearization memo, no admission filter, a fresh Z3
@@ -227,6 +230,9 @@ public:
   };
   const Stats &stats() const { return S; }
 
+  /// Whether the (lazily built) Z3 context exists yet. For tests.
+  bool hasZ3Context() const { return Z3 != nullptr; }
+
   /// Optional per-function stats sink: mirrors Queries/Z3Queries into the
   /// lifting engine's LiftStats. Pass nullptr to detach. Not synchronized —
   /// one solver, one lifting thread.
@@ -245,6 +251,9 @@ private:
   /// event.
   Decision decideRecorded(const Region &R0, const Region &R1,
                           const pred::Pred &P);
+
+  /// The Z3 backend, built on first use (only reached when Cfg.UseZ3).
+  Z3Backend &z3();
 
   /// Memoized linearization (portfolio only; bounded).
   const expr::LinearForm &linearizeMemo(const expr::Expr *E);
@@ -314,7 +323,7 @@ private:
   std::vector<LoggedQuery> Log;
   QueryRec Recent[QueryRingSize];
   uint64_t RecentCount = 0; ///< total recorded; ring index = count % size
-  std::unique_ptr<Z3Backend> Z3;
+  std::unique_ptr<Z3Backend> Z3; ///< lazily built by z3()
   std::unordered_map<RelKey, CachedRel, RelKeyHash> RelCache;
   std::unordered_map<EqKey, bool, EqKeyHash> EqCache;
   /// Portfolio memos, all bounded by clearing at MemoCap entries. Keyed on

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Programs.h"
+#include "support/ScratchDir.h"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,8 @@ using namespace hglift;
 namespace {
 
 std::string tmpPath(const std::string &Name) {
-  return std::string("/tmp/hglift_cli_") + Name;
+  static const ScratchDir Dir("hglift_cli");
+  return Dir.file(Name);
 }
 
 void writeBinary(const corpus::BuiltBinary &BB, const std::string &Path) {

@@ -12,6 +12,7 @@
 #include "corpus/Programs.h"
 #include "elf/ElfReader.h"
 #include "store/CostLedger.h"
+#include "support/ScratchDir.h"
 
 #include <gtest/gtest.h>
 
@@ -24,8 +25,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
+std::string tmpPath(const std::string &Name) {
+  static const ScratchDir Dir("hglift_cost_ledger");
+  return Dir.file(Name);
+}
+
 std::string freshDir(const std::string &Name) {
-  std::string Dir = "/tmp/hglift_cost_ledger_" + Name;
+  std::string Dir = tmpPath(Name);
   fs::remove_all(Dir);
   return Dir;
 }
@@ -145,9 +151,9 @@ TEST(CostKey, TracksInstructionBytesOnly) {
     Out.close();
     return elf::readElfFile(Path);
   };
-  auto ImgA = Load(*A, "/tmp/hglift_cost_key_a.elf");
-  auto ImgA2 = Load(*A, "/tmp/hglift_cost_key_a2.elf");
-  auto ImgB = Load(*B, "/tmp/hglift_cost_key_b.elf");
+  auto ImgA = Load(*A, tmpPath("key_a.elf"));
+  auto ImgA2 = Load(*A, tmpPath("key_a2.elf"));
+  auto ImgB = Load(*B, tmpPath("key_b.elf"));
   ASSERT_TRUE(ImgA && ImgA2 && ImgB);
 
   // Same bytes, same key (independent of path); different code, different

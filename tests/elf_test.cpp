@@ -78,6 +78,25 @@ TEST(Elf, ReadAcrossBoundsFails) {
   EXPECT_EQ(Avail, 0u);
 }
 
+TEST(Elf, SegmentBoundsDoNotWrap) {
+  BinaryImage Img;
+  Segment Seg;
+  Seg.VAddr = 0x401000;
+  Seg.Bytes.assign(0x100, 0);
+  Img.Segments.push_back(Seg);
+  // UINT64_MAX - 3 + 8 wraps to 4, which is <= end(): the old check
+  // accepted the read.
+  EXPECT_EQ(Img.segmentAt(UINT64_MAX - 3, 8), nullptr);
+  EXPECT_FALSE(Img.read(UINT64_MAX - 3, 8).has_value());
+  EXPECT_EQ(Img.segmentAt(UINT64_MAX, 1), nullptr);
+  // The last bytes of the segment, and nothing past them.
+  EXPECT_EQ(Img.segmentAt(0x4010f8, 8), &Img.Segments[0]);
+  EXPECT_EQ(Img.segmentAt(0x4010f9, 8), nullptr);
+  EXPECT_EQ(Img.segmentAt(0x401100, 0), &Img.Segments[0]);
+  // A size so large that A + Size wraps back into the segment.
+  EXPECT_EQ(Img.segmentAt(0x401010, UINT64_MAX - 0x8), nullptr);
+}
+
 TEST(Elf, RejectsBadMagicAndClass) {
   std::vector<uint8_t> Bytes = writeElf(sampleSpec());
   {

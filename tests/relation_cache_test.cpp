@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "api/Hglift.h"
 #include "corpus/Programs.h"
 #include "hg/Lifter.h"
 #include "hg/StateMemo.h"
@@ -335,6 +336,81 @@ TEST(RelationCache, LiftStatsMirrorsSweepAndEvictionCounters) {
   EXPECT_EQ(LS.RelCacheHits, S.stats().CacheHits);
   EXPECT_EQ(LS.RelCacheMisses, S.stats().CacheMisses);
   EXPECT_EQ(LS.SolverQueries, S.stats().Queries);
+}
+
+// --- lazy Z3 context ------------------------------------------------------
+
+TEST(LazyZ3, LiftAndCheckOfCallChainBuildNoContext) {
+  // Every query of this corpus binary resolves in tiers 0/1 or the
+  // allocation-class layer, so no arena — lift or Step-2 check — may pay
+  // for a Z3 context.
+  auto BB = corpus::callChainBinary();
+  ASSERT_TRUE(BB.has_value());
+  Session Sess(BB->Img, Options());
+  const hg::BinaryResult &R = Sess.lift();
+  ASSERT_EQ(R.Outcome, hg::LiftOutcome::Lifted) << R.FailReason;
+  EXPECT_TRUE(Sess.check().allProven());
+  ASSERT_GT(R.Functions.size(), 1u);
+  uint64_t Queries = 0;
+  for (const hg::FunctionResult &F : R.Functions) {
+    ASSERT_TRUE(F.Arena);
+    Queries += F.Arena->solver().stats().Queries;
+    EXPECT_FALSE(F.Arena->solver().hasZ3Context()) << hexStr(F.Entry);
+  }
+  EXPECT_GT(Queries, 0u) << "the solver was never consulted";
+}
+
+#ifdef HGLIFT_WITH_Z3
+TEST(LazyZ3, FirstAdmittedQueryBuildsOnePersistentContext) {
+  // An unsigned lower bound only the bit-vector theory sees: tier 2
+  // admits the query (the range clause mentions the address's leaf).
+  ExprContext Ctx;
+  RelationSolver S(Ctx);
+  Pred P = Pred::entry(Ctx);
+  const Expr *Rdi0 = Ctx.mkVar(VarClass::InitReg, "rdi0");
+  P.addRange(Rdi0, RelOp::UGe, 0x600000);
+  EXPECT_FALSE(S.hasZ3Context()) << "constructor built a context";
+
+  // A tier-0 query does not build one.
+  EXPECT_EQ(S.relate(Region{Rdi0, 8}, Region{Ctx.mkAddK(Rdi0, 8), 8}, P),
+            MemRel::MustSep);
+  EXPECT_FALSE(S.hasZ3Context());
+
+  EXPECT_EQ(S.relate(Region{Rdi0, 8}, Region{Ctx.mkConst(0x500000, 64), 8},
+                     P),
+            MemRel::MustSep);
+  EXPECT_TRUE(S.hasZ3Context());
+  EXPECT_EQ(S.stats().Z3Queries, 1u);
+
+  // The second admitted query under the same predicate reuses the base
+  // assertions of the first: same backend, same context.
+  EXPECT_EQ(S.relate(Region{Rdi0, 8}, Region{Ctx.mkConst(0x400000, 64), 8},
+                     P),
+            MemRel::MustSep);
+  EXPECT_TRUE(S.hasZ3Context());
+  EXPECT_EQ(S.stats().Z3Queries, 2u);
+  EXPECT_EQ(S.stats().Z3CtxReuses, 1u);
+}
+#endif
+
+TEST(LazyZ3, UseZ3OffNeverBuildsContext) {
+  ExprContext Ctx;
+  RelationSolver::Config Cfg;
+  Cfg.UseZ3 = false;
+  for (bool Portfolio : {true, false}) {
+    Cfg.Portfolio = Portfolio;
+    RelationSolver S(Ctx, Cfg);
+    Pred P = Pred::entry(Ctx);
+    const Expr *Rdi0 = Ctx.mkVar(VarClass::InitReg, "rdi0");
+    P.addRange(Rdi0, RelOp::UGe, 0x600000);
+    Region R0{Rdi0, 8}, R1{Ctx.mkConst(0x500000, 64), 8};
+    EXPECT_EQ(S.relate(R0, R1, P), MemRel::Unknown);
+    EXPECT_EQ(S.decideWithTierOnly(R0, R1, P, smt::Tier::Z3).Rel,
+              MemRel::Unknown);
+    EXPECT_FALSE(S.mustEqual(Rdi0, R1.Addr, P));
+    EXPECT_EQ(S.stats().Z3Queries, 0u);
+    EXPECT_FALSE(S.hasZ3Context()) << "portfolio=" << Portfolio;
+  }
 }
 
 // --- the leq memo ---------------------------------------------------------

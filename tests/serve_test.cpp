@@ -26,6 +26,7 @@
 #include "diag/Json.h"
 #include "serve/Serve.h"
 #include "shard/LineProto.h"
+#include "support/ScratchDir.h"
 
 #include <gtest/gtest.h>
 
@@ -59,8 +60,8 @@ using namespace hglift;
 namespace {
 
 std::string tmpPath(const std::string &Name) {
-  return std::string("/tmp/hglift_serve_") + std::to_string(getpid()) + "_" +
-         Name;
+  static const ScratchDir Dir("hglift_serve");
+  return Dir.file(Name);
 }
 
 void writeBinary(const corpus::BuiltBinary &BB, const std::string &Path) {
@@ -392,6 +393,41 @@ TEST(ServeWarmCold, ReportByteIdenticalToCli) {
     const diag::JValue *Cache = M.get("cache");
     return Cache && Cache->num("hits", 0) > 0;
   }));
+}
+
+TEST(ServeMemo, SameBytesUnderTwoNamesKeepTheirOwnReport) {
+  // The report names its binary, so the whole-file memo must not replay
+  // one file's report for byte-identical content under another name.
+  auto BB = corpus::callChainBinary();
+  ASSERT_TRUE(BB.has_value());
+  std::vector<std::string> Elfs = {tmpPath("memo_a.elf"),
+                                   tmpPath("memo_b.elf")};
+  std::vector<std::string> Cli;
+  for (const std::string &Elf : Elfs) {
+    writeBinary(*BB, Elf);
+    std::string Report = Elf + ".report.json";
+    RunResult R = runCli(Elf + " --check --report-json " + Report);
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    Cli.push_back(readFileStr(Report));
+  }
+  ASSERT_NE(Cli[0], Cli[1]) << "the report must name its binary";
+
+  Daemon D("memo", {"--threads", "1"});
+  Client C(D);
+  ASSERT_GE(C.Fd, 0);
+  // a, b, then a again: only the last request may be a memo hit.
+  for (size_t I : {0u, 1u, 0u}) {
+    SCOPED_TRACE(Elfs[I]);
+    ASSERT_TRUE(C.send(liftRequest("m" + std::to_string(I), Elfs[I],
+                                   "check")));
+    EXPECT_EQ(C.readEvent().str("event"), "accepted");
+    diag::JValue Res = C.readEvent();
+    ASSERT_EQ(Res.str("event"), "result");
+    EXPECT_EQ(Res.str("report"), Cli[I]);
+    EXPECT_EQ(C.readEvent().str("event"), "done");
+  }
+  EXPECT_TRUE(waitMetrics(
+      D, [](const diag::JValue &M) { return M.num("memo_hits", 0) == 1; }));
 }
 
 TEST(ServeWitness, ReportByteIdenticalToCli) {

@@ -12,6 +12,7 @@
 
 #include "corpus/Programs.h"
 #include "shard/Shard.h"
+#include "support/ScratchDir.h"
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,8 @@ namespace fs = std::filesystem;
 namespace {
 
 std::string tmpPath(const std::string &Name) {
-  return "/tmp/hglift_shard_" + Name;
+  static const ScratchDir Dir("hglift_shard");
+  return Dir.file(Name);
 }
 
 void writeBinary(const corpus::BuiltBinary &BB, const std::string &Path) {

@@ -24,11 +24,13 @@
 
 #include "api/Hglift.h"
 #include "corpus/Programs.h"
+#include "corpus/Suites.h"
 #include "diag/Json.h"
 #include "driver/Report.h"
 #include "export/HoareChecker.h"
 #include "fuzz/Campaign.h"
 #include "fuzz/Mutants.h"
+#include "support/ScratchDir.h"
 #include "witness/Witness.h"
 #include "x86/Reg.h"
 
@@ -52,8 +54,8 @@ using namespace hglift;
 namespace {
 
 std::string freshDir(const std::string &Name) {
-  std::string D = std::string(::testing::TempDir()) + "/hglift_witness_" +
-                  std::to_string(getpid()) + "_" + Name;
+  static const ScratchDir Dir("hglift_witness");
+  std::string D = Dir.file(Name);
   std::filesystem::remove_all(D);
   std::filesystem::create_directories(D);
   return D;
@@ -273,6 +275,34 @@ TEST(WitnessAnnotationReach, WeirdEdgeGetsReachWitness) {
   EXPECT_EQ(Rec->Claim.Type, "none");
   EXPECT_TRUE(Rec->Replayed);
   EXPECT_NE(Rec->SidecarJson.find("_reach"), std::string::npos);
+}
+
+TEST(WitnessReduction, SearchNearTopOfAddressSpaceDoesNotWrap) {
+  // Regression: input 4 of the xen suite built with seed 11. Witness
+  // reduction probes an address near UINT64_MAX, where the segment bounds
+  // check used to compute Addr + Size, wrap, and accept the read.
+  corpus::SuiteOptions SO;
+  SO.Seed = 11;
+  std::vector<corpus::SuiteRow> Rows = corpus::buildXenSuite(SO);
+  const corpus::SuiteRow *Row = nullptr;
+  const corpus::BuiltBinary *BB = nullptr;
+  size_t Idx = 0;
+  for (const corpus::SuiteRow &R : Rows)
+    for (const corpus::BuiltBinary &B : R.Binaries)
+      if (Idx++ == 4) {
+        Row = &R;
+        BB = &B;
+      }
+  ASSERT_NE(BB, nullptr);
+  Options O;
+  O.Library = Row->IsLibrary && !BB->Img.Functions.empty();
+  O.Witness.Dir = freshDir("near_top");
+  Session S(BB->Img, O);
+  S.lift();
+  S.check();
+  const diag::WitnessSummary &W = witness::attachWitnesses(S, &BB->ElfBytes);
+  EXPECT_GT(W.Searched, 0u);
+  EXPECT_EQ(W.Searched, W.Confirmed + W.Unconfirmed);
 }
 
 // ------------------------------------------------------------ determinism
