@@ -15,7 +15,6 @@ using expr::signExtend;
 using sem::CtrlKind;
 using sem::Machine;
 using sem::StepOut;
-using sem::Succ;
 using x86::NumGPRs;
 using x86::Reg;
 using x86::regFromNum;
@@ -23,13 +22,21 @@ using x86::regName;
 
 expr::VarValuation OracleCtx::vars() const {
   return [this](uint32_t Id) -> uint64_t {
-    const expr::VarInfo &VI = Ctx->varInfo(Id);
-    if (VI.Cls == expr::VarClass::RetSym || VI.Cls == expr::VarClass::RetAddr)
-      return RetAddr;
-    for (unsigned RI = 0; RI < NumGPRs; ++RI)
-      if (VI.Name == regName(regFromNum(RI)) + "0")
-        return Init[RI];
-    return 0; // Fresh/External: callers skip clauses with fresh leaves
+    if (Id >= Slots.size())
+      Slots.resize(Id + 1, Unresolved);
+    uint8_t &Slot = Slots[Id];
+    if (Slot == Unresolved) {
+      const expr::VarInfo &VI = Ctx->varInfo(Id);
+      Slot = NoSlot; // Fresh/External: callers skip clauses with fresh leaves
+      if (VI.Cls == expr::VarClass::RetSym ||
+          VI.Cls == expr::VarClass::RetAddr)
+        Slot = RetSlot;
+      else
+        for (unsigned RI = 0; RI < NumGPRs && Slot == NoSlot; ++RI)
+          if (VI.Name == regName(regFromNum(RI)) + "0")
+            Slot = static_cast<uint8_t>(RI);
+    }
+    return Slot == RetSlot ? RetAddr : Slot == NoSlot ? 0 : Init[Slot];
   };
 }
 
@@ -38,35 +45,6 @@ expr::MemOracle OracleCtx::initMem() const {
 }
 
 namespace {
-
-/// Evaluate a RelOp on concrete operands (the same table leq entailment
-/// and the range clauses use).
-bool relHolds(pred::RelOp Op, uint64_t U, uint64_t B) {
-  int64_t S = static_cast<int64_t>(U), SB = static_cast<int64_t>(B);
-  switch (Op) {
-  case pred::RelOp::Eq:
-    return U == B;
-  case pred::RelOp::Ne:
-    return U != B;
-  case pred::RelOp::ULt:
-    return U < B;
-  case pred::RelOp::ULe:
-    return U <= B;
-  case pred::RelOp::UGe:
-    return U >= B;
-  case pred::RelOp::UGt:
-    return U > B;
-  case pred::RelOp::SLt:
-    return S < SB;
-  case pred::RelOp::SLe:
-    return S <= SB;
-  case pred::RelOp::SGe:
-    return S >= SB;
-  case pred::RelOp::SGt:
-    return S > SB;
-  }
-  return true;
-}
 
 /// Does the tracked flag abstraction agree with the machine's flags? Each
 /// FlagState kind constrains a different subset: Cmp and Test pin all of
@@ -229,7 +207,7 @@ std::optional<SatFailure> stateSatisfiesExplain(const pred::Pred &P,
     if (C.E->hasFreshLeaf())
       continue;
     auto EV = expr::evalExpr(C.E, Vars, InitMem);
-    if (EV && relHolds(C.Op, *EV, C.Bound))
+    if (EV && pred::relHolds(C.Op, *EV, C.Bound))
       continue;
     SatFailure F;
     F.K = SatFailure::Kind::Range;
@@ -263,11 +241,25 @@ std::vector<const hg::Vertex *> verticesAt(const hg::FunctionResult &F,
   return Out;
 }
 
+const std::vector<WalkCache::Succ> &
+WalkCache::successors(const hg::Vertex &V) {
+  auto [It, Inserted] = Succs.try_emplace(&V);
+  if (Inserted) {
+    StepOut SO = F.Arena->exec().step(V.State, V.Instr, F.RetSym);
+    if (!SO.VerifError)
+      for (sem::Succ &S : SO.Succs)
+        It->second.push_back(Succ{S.K, S.NextAddr, std::move(S.S.P)});
+  }
+  return It->second;
+}
+
 WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
+                    WalkCache &Cache,
                     const std::array<uint64_t, x86::NumGPRs> &InitRegs,
                     uint64_t MachineSeed, int MaxSteps) {
   assert(!sem::installedStepMutator() &&
          "oracle must run with clean semantics");
+  assert(&Cache.function() == &F && "walk cache belongs to another function");
   WalkResult Out;
   Machine M(Img, MachineSeed);
   M.setupCall(F.Entry);
@@ -285,7 +277,6 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
   CC.RetAddr = M.load(M.reg(Reg::RSP), 8);
   CC.EntryM = M;
 
-  sem::SymExec &Exec = F.Arena->exec();
   uint64_t Prev = 0; // rip executed just before the current one
 
   auto violate = [&](WalkViolation::Kind K, uint64_t Addr, std::string Msg) {
@@ -346,25 +337,21 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
     // Property 2: some symbolic successor of an admitting vertex admits
     // the concrete post-state (or the step hit an annotated indirection).
     bool Covered = false, Annotated = false;
-    std::optional<SatFailure> SuccFail;
+    const pred::Pred *FailP = nullptr; // first successor that did not admit
     for (const hg::Vertex *V : Admitting) {
-      StepOut SO = Exec.step(V->State, V->Instr, F.RetSym);
-      if (SO.VerifError)
-        continue;
-      for (const Succ &S : SO.Succs) {
+      for (const WalkCache::Succ &S : Cache.successors(*V)) {
         if (S.K == CtrlKind::UnresJump) {
           Annotated = true; // annotation B overapproximates any target
           continue;
         }
         if (S.NextAddr != M.Rip)
           continue;
-        auto Fail = stateSatisfiesExplain(S.S.P, CC, M);
-        if (!Fail) {
+        if (!stateSatisfiesExplain(S.P, CC, M, /*RenderClause=*/false)) {
           Covered = true;
           break;
         }
-        if (!SuccFail)
-          SuccFail = std::move(*Fail);
+        if (!FailP)
+          FailP = &S.P;
       }
       if (Covered)
         break;
@@ -374,10 +361,12 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
               "concrete step " + hexStr(Rip) + " -> " + hexStr(M.Rip) +
                   " not admitted by any symbolic successor");
       Out.V.NextRip = M.Rip;
-      if (SuccFail) {
-        Out.V.HasFail = true;
-        Out.V.Fail = std::move(*SuccFail);
-      }
+      // Re-explain the first failing successor with its clause rendered.
+      if (FailP)
+        if (auto Fail = stateSatisfiesExplain(*FailP, CC, M)) {
+          Out.V.HasFail = true;
+          Out.V.Fail = std::move(*Fail);
+        }
       break;
     }
     Prev = Rip;
@@ -389,7 +378,7 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
 }
 
 void walkOnce(const elf::BinaryImage &Img, const hg::FunctionResult &F,
-              Rng &R, OracleResult &Out) {
+              WalkCache &Cache, Rng &R, OracleResult &Out) {
   // Draw the entry state exactly as the oracle always has: machine seed
   // first, then per non-RSP register a 1-in-3 small value, else full
   // random. walkFrom replays the deterministic core.
@@ -401,7 +390,7 @@ void walkOnce(const elf::BinaryImage &Img, const hg::FunctionResult &F,
     Init[RI] = R.chance(1, 3) ? R.below(1000) : R.next();
   }
   ++Out.Runs;
-  WalkResult WR = walkFrom(Img, F, Init, MachineSeed);
+  WalkResult WR = walkFrom(Img, F, Cache, Init, MachineSeed);
   Out.States += WR.States;
   if (WR.Violated)
     Out.Violations.push_back(OracleViolation{F.Entry, WR.V.Addr, WR.V.Message});
@@ -415,8 +404,9 @@ OracleResult runOracle(const elf::BinaryImage &Img,
   for (const hg::FunctionResult &F : R.Functions) {
     if (F.Outcome != hg::LiftOutcome::Lifted)
       continue;
+    WalkCache Cache(F);
     for (int I = 0; I < RunsPerFunction; ++I)
-      walkOnce(Img, F, Rand, Out);
+      walkOnce(Img, F, Cache, Rand, Out);
   }
   return Out;
 }

@@ -33,6 +33,7 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace hglift::fuzz {
@@ -43,13 +44,19 @@ namespace hglift::fuzz {
 struct OracleCtx {
   std::array<uint64_t, x86::NumGPRs> Init{}; ///< entry register file
   uint64_t RetAddr = 0;                      ///< concrete value of S_entry
-  const expr::ExprContext *Ctx = nullptr;
+  const expr::ExprContext *Ctx = nullptr; ///< set before the first lookup
   sem::Machine EntryM; ///< machine snapshot at function entry
 
   explicit OracleCtx(const elf::BinaryImage &Img) : EntryM(Img) {}
 
   expr::VarValuation vars() const;
   expr::MemOracle initMem() const;
+
+private:
+  /// Each variable id's register number, RetSlot or NoSlot, resolved by
+  /// vars() on its first lookup.
+  static constexpr uint8_t Unresolved = 0xff, RetSlot = 0xfe, NoSlot = 0xfd;
+  mutable std::vector<uint8_t> Slots;
 };
 
 /// Does the concrete state (M.Regs, M's flags, M's memory) satisfy P?
@@ -140,12 +147,38 @@ struct WalkResult {
   WalkViolation V;
 };
 
+/// The symbolic successors of one function's explored vertices, as
+/// property 2 reads them: each computed by the function's arena executor
+/// on first use, then reused by every walk sharing the cache. Scope one
+/// cache to one function.
+class WalkCache {
+public:
+  struct Succ {
+    sem::CtrlKind K;
+    uint64_t NextAddr;
+    pred::Pred P;
+  };
+
+  explicit WalkCache(const hg::FunctionResult &F) : F(F) {}
+  const hg::FunctionResult &function() const { return F; }
+
+  /// V's successors; empty when its step is a verification error.
+  const std::vector<Succ> &successors(const hg::Vertex &V);
+  /// Vertices whose successors were computed (one SymExec::step each).
+  size_t size() const { return Succs.size(); }
+
+private:
+  const hg::FunctionResult &F;
+  std::unordered_map<const hg::Vertex *, std::vector<Succ>> Succs;
+};
+
 /// Walk one concrete run through F's Hoare Graph from a *fixed* initial
 /// register file (InitRegs' RSP slot is ignored; setupCall decides the
 /// stack) and machine seed, stopping at the first violation. This is the
 /// deterministic core: walkOnce draws a random entry state and delegates
-/// here. Requires: no StepMutator installed.
+/// here. Cache must belong to F. Requires: no StepMutator installed.
 WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
+                    WalkCache &Cache,
                     const std::array<uint64_t, x86::NumGPRs> &InitRegs,
                     uint64_t MachineSeed, int MaxSteps = 300);
 
@@ -153,12 +186,13 @@ WalkResult walkFrom(const elf::BinaryImage &Img, const hg::FunctionResult &F,
 /// to Out. The walk starts at F.Entry with a random register file drawn
 /// from R and follows the machine until control leaves the function.
 /// Requires: no StepMutator installed (the oracle is the clean-semantics
-/// judge; property 2 re-runs the arena executor).
+/// judge; property 2 runs the arena executor).
 void walkOnce(const elf::BinaryImage &Img, const hg::FunctionResult &F,
-              Rng &R, OracleResult &Out);
+              WalkCache &Cache, Rng &R, OracleResult &Out);
 
 /// Run the oracle over every lifted function of R: RunsPerFunction
-/// concrete walks each, seeded deterministically from Seed.
+/// concrete walks each, seeded deterministically from Seed, sharing one
+/// WalkCache per function.
 OracleResult runOracle(const elf::BinaryImage &Img, const hg::BinaryResult &R,
                        uint64_t Seed, int RunsPerFunction);
 

@@ -52,11 +52,14 @@ struct SegMap {
     }
   }
 
-  /// File offset of VAddr, or SIZE_MAX when not file-backed.
+  /// File offset of [VAddr, VAddr + Len), or SIZE_MAX when not
+  /// file-backed. Written without VAddr + Len, which can wrap.
   size_t offsetOf(uint64_t VAddr, uint64_t Len) const {
-    for (const Seg &S : Segs)
-      if (VAddr >= S.VAddr && VAddr + Len <= S.VAddr + S.FileSz)
+    for (const Seg &S : Segs) {
+      uint64_t End = S.VAddr + S.FileSz;
+      if (VAddr >= S.VAddr && VAddr <= End && Len <= End - VAddr)
         return static_cast<size_t>(S.Off + (VAddr - S.VAddr));
+    }
     return SIZE_MAX;
   }
 };
@@ -91,31 +94,26 @@ ReduceResult reduceBinary(const std::vector<uint8_t> &ElfBytes,
   for (auto &[A, U] : ByAddr)
     Units.push_back(U);
 
+  // File offset of every unit (SIZE_MAX: not file-backed, never patched)
+  // and the units of every function, computed once.
   SegMap Map(ElfBytes);
+  std::vector<size_t> Off(Units.size());
+  std::vector<std::vector<size_t>> FnUnits(CleanLift.Functions.size());
+  for (size_t I = 0; I < Units.size(); ++I) {
+    Off[I] = Map.offsetOf(Units[I].Addr, Units[I].Len);
+    FnUnits[Units[I].Func].push_back(I);
+  }
   std::vector<bool> Alive(Units.size(), true);
+  size_t NumAlive = Units.size();
 
-  auto render = [&](const std::vector<bool> &A) {
-    std::vector<uint8_t> B = ElfBytes;
-    for (size_t I = 0; I < Units.size(); ++I) {
-      if (A[I])
-        continue;
-      size_t Off = Map.offsetOf(Units[I].Addr, Units[I].Len);
-      if (Off != SIZE_MAX)
-        std::memset(B.data() + Off, 0x90, Units[I].Len); // nop
-    }
-    return B;
-  };
-
-  auto countAlive = [&](const std::vector<bool> &A) {
-    return static_cast<size_t>(std::count(A.begin(), A.end(), true));
-  };
+  // The working buffer: always the input with every dead unit patched.
+  std::vector<uint8_t> &Work = Res.Bytes;
 
   // Does the unreduced input fail at all?
   ++Res.PredicateCalls;
-  Res.Reproduced = Fails(ElfBytes);
+  Res.Reproduced = Fails(Work);
   auto finish = [&]() {
-    Res.Bytes = render(Alive);
-    Res.InstructionsLeft = countAlive(Alive);
+    Res.InstructionsLeft = NumAlive;
     std::vector<bool> FnAlive(CleanLift.Functions.size(), false);
     for (size_t I = 0; I < Units.size(); ++I)
       if (Alive[I])
@@ -132,34 +130,47 @@ ReduceResult reduceBinary(const std::vector<uint8_t> &ElfBytes,
   auto tryRemove = [&](const std::vector<size_t> &Idxs) {
     if (Idxs.empty() || Res.PredicateCalls >= MaxPredicateCalls)
       return false;
-    std::vector<bool> Cand = Alive;
-    bool Any = false;
+    std::vector<size_t> Removed;
     for (size_t I : Idxs)
-      if (Cand[I]) {
-        Cand[I] = false;
-        Any = true;
-      }
-    if (!Any || countAlive(Cand) == 0)
+      if (Alive[I])
+        Removed.push_back(I);
+    if (Removed.empty() || Removed.size() == NumAlive)
       return false;
+    // Patch in place, saving the overwritten bytes: units may overlap, so
+    // a rejected candidate restores the buffer, not the input.
+    std::vector<uint8_t> Saved;
+    for (size_t I : Removed) {
+      if (Off[I] == SIZE_MAX)
+        continue;
+      uint8_t *At = Work.data() + Off[I];
+      Saved.insert(Saved.end(), At, At + Units[I].Len);
+      std::memset(At, 0x90, Units[I].Len); // nop
+    }
     ++Res.PredicateCalls;
-    if (!Fails(render(Cand)))
-      return false;
-    Alive = std::move(Cand);
-    return true;
+    if (Fails(Work)) {
+      for (size_t I : Removed)
+        Alive[I] = false;
+      NumAlive -= Removed.size();
+      return true;
+    }
+    for (size_t K = Removed.size(); K-- > 0;) {
+      size_t I = Removed[K];
+      if (Off[I] == SIZE_MAX)
+        continue;
+      size_t From = Saved.size() - Units[I].Len;
+      std::memcpy(Work.data() + Off[I], Saved.data() + From, Units[I].Len);
+      Saved.resize(From);
+    }
+    return false;
   };
 
   // Level 1: whole functions, in index order.
-  for (uint32_t FI = 0; FI < CleanLift.Functions.size(); ++FI) {
-    std::vector<size_t> Idxs;
-    for (size_t I = 0; I < Units.size(); ++I)
-      if (Alive[I] && Units[I].Func == FI)
-        Idxs.push_back(I);
+  for (const std::vector<size_t> &Idxs : FnUnits)
     tryRemove(Idxs);
-  }
 
   // Levels 2..n: halving chunks of the surviving instruction list, down
   // to single instructions, then single-instruction passes to a fixpoint.
-  size_t Sz = std::max<size_t>(1, countAlive(Alive) / 2);
+  size_t Sz = std::max<size_t>(1, NumAlive / 2);
   while (Res.PredicateCalls < MaxPredicateCalls) {
     std::vector<size_t> Live;
     for (size_t I = 0; I < Units.size(); ++I)

@@ -26,7 +26,9 @@ namespace hglift::fuzz {
 
 /// Re-runs the failing pipeline on candidate ELF bytes; true iff the
 /// failure still reproduces. (A candidate that no longer parses or lifts
-/// should return false — the reducer then keeps the instructions.)
+/// should return false — the reducer then keeps the instructions.) The
+/// bytes are the reducer's working buffer, patched in place between
+/// calls: copy them to keep them.
 using FailurePredicate = std::function<bool(const std::vector<uint8_t> &)>;
 
 struct ReduceResult {

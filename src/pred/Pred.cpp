@@ -92,6 +92,33 @@ const char *relOpName(RelOp Op) {
   return "?";
 }
 
+bool relHolds(RelOp Op, uint64_t V, uint64_t Bound) {
+  int64_t S = static_cast<int64_t>(V), SB = static_cast<int64_t>(Bound);
+  switch (Op) {
+  case RelOp::Eq:
+    return V == Bound;
+  case RelOp::Ne:
+    return V != Bound;
+  case RelOp::ULt:
+    return V < Bound;
+  case RelOp::ULe:
+    return V <= Bound;
+  case RelOp::UGe:
+    return V >= Bound;
+  case RelOp::UGt:
+    return V > Bound;
+  case RelOp::SLt:
+    return S < SB;
+  case RelOp::SLe:
+    return S <= SB;
+  case RelOp::SGe:
+    return S >= SB;
+  case RelOp::SGt:
+    return S > SB;
+  }
+  return true;
+}
+
 Pred Pred::entry(ExprContext &Ctx, const Expr *RetSymTop) {
   Pred P;
   for (unsigned I = 0; I < x86::NumGPRs; ++I) {
@@ -999,42 +1026,7 @@ bool Pred::holds(const expr::VarValuation &Vars,
     auto V = expr::evalExpr(C.E, Vars, InitMem);
     if (!V)
       return false;
-    int64_t S = static_cast<int64_t>(*V);
-    int64_t SB = static_cast<int64_t>(C.Bound);
-    bool OK;
-    switch (C.Op) {
-    case RelOp::Eq:
-      OK = *V == C.Bound;
-      break;
-    case RelOp::Ne:
-      OK = *V != C.Bound;
-      break;
-    case RelOp::ULt:
-      OK = *V < C.Bound;
-      break;
-    case RelOp::ULe:
-      OK = *V <= C.Bound;
-      break;
-    case RelOp::UGe:
-      OK = *V >= C.Bound;
-      break;
-    case RelOp::UGt:
-      OK = *V > C.Bound;
-      break;
-    case RelOp::SLt:
-      OK = S < SB;
-      break;
-    case RelOp::SLe:
-      OK = S <= SB;
-      break;
-    case RelOp::SGe:
-      OK = S >= SB;
-      break;
-    case RelOp::SGt:
-      OK = S > SB;
-      break;
-    }
-    if (!OK)
+    if (!relHolds(C.Op, *V, C.Bound))
       return false;
   }
   return true;

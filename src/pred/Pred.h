@@ -53,6 +53,11 @@ enum class RelOp : uint8_t { Eq, Ne, ULt, ULe, UGe, UGt, SLt, SLe, SGe, SGt };
 
 const char *relOpName(RelOp Op);
 
+/// Concrete truth of V □ Bound — the one RelOp truth table. Unsigned
+/// relations compare the 64-bit patterns, signed ones their int64_t
+/// readings.
+bool relHolds(RelOp Op, uint64_t V, uint64_t Bound);
+
 struct RangeClause {
   const Expr *E;
   RelOp Op;

@@ -289,32 +289,12 @@ bool SymExec::addBranchClause(Pred &P, Cond CC, bool Taken) {
   }
 
   if (E->isConst()) {
-    // Decidable immediately.
+    // Decidable immediately. Signed relations (the last four RelOps)
+    // read the constant at its own width.
     uint64_t V = E->constVal();
-    int64_t SV = expr::signExtend(V, E->width());
-    int64_t SBn = static_cast<int64_t>(Bound);
-    switch (Op) {
-    case RelOp::Eq:
-      return V == Bound;
-    case RelOp::Ne:
-      return V != Bound;
-    case RelOp::ULt:
-      return V < Bound;
-    case RelOp::ULe:
-      return V <= Bound;
-    case RelOp::UGe:
-      return V >= Bound;
-    case RelOp::UGt:
-      return V > Bound;
-    case RelOp::SLt:
-      return SV < SBn;
-    case RelOp::SLe:
-      return SV <= SBn;
-    case RelOp::SGe:
-      return SV >= SBn;
-    case RelOp::SGt:
-      return SV > SBn;
-    }
+    if (Op >= RelOp::SLt)
+      V = static_cast<uint64_t>(expr::signExtend(V, E->width()));
+    return pred::relHolds(Op, V, Bound);
   }
 
   P.addRange(E, Op, Bound);

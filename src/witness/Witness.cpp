@@ -5,7 +5,6 @@
 #include "diag/Json.h"
 #include "elf/ElfReader.h"
 #include "fuzz/Campaign.h"
-#include "fuzz/Oracle.h"
 #include "fuzz/Reducer.h"
 #include "fuzz/Sidecar.h"
 #include "support/Format.h"
@@ -15,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -39,34 +39,6 @@ uint64_t fnv1a(const std::string &S) {
     H *= 1099511628211ull;
   }
   return H;
-}
-
-/// Same RelOp truth table the oracle's range clauses use.
-bool relHolds(pred::RelOp Op, uint64_t U, uint64_t B) {
-  int64_t S = static_cast<int64_t>(U), SB = static_cast<int64_t>(B);
-  switch (Op) {
-  case pred::RelOp::Eq:
-    return U == B;
-  case pred::RelOp::Ne:
-    return U != B;
-  case pred::RelOp::ULt:
-    return U < B;
-  case pred::RelOp::ULe:
-    return U <= B;
-  case pred::RelOp::UGe:
-    return U >= B;
-  case pred::RelOp::UGt:
-    return U > B;
-  case pred::RelOp::SLt:
-    return S < SB;
-  case pred::RelOp::SLe:
-    return S <= SB;
-  case pred::RelOp::SGe:
-    return S >= SB;
-  case pred::RelOp::SGt:
-    return S > SB;
-  }
-  return true;
 }
 
 /// Inverse of pred::relOpName, for replaying recorded range claims.
@@ -141,7 +113,7 @@ bool claimViolated(const diag::WitnessClaim &C, const Machine &M) {
   }
   if (C.Type == "range") {
     auto Op = relOpFromName(C.RangeOp);
-    return !Op || !relHolds(*Op, C.RangeValue, C.RangeBound);
+    return !Op || !pred::relHolds(*Op, C.RangeValue, C.RangeBound);
   }
   return true;
 }
@@ -419,7 +391,8 @@ uint64_t jnum64(const diag::JValue &Doc, const std::string &Key) {
 
 diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
                               const hg::BinaryResult &Clean,
-                              const hg::FunctionResult &F, uint64_t SiteAddr,
+                              const hg::FunctionResult &F,
+                              fuzz::WalkCache &Cache, uint64_t SiteAddr,
                               diag::DiagKind Kind, const WitnessOptions &Opts,
                               const std::vector<uint8_t> *ElfBytes) {
   diag::WitnessRecord Rec;
@@ -447,7 +420,7 @@ diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
   WitnessSpec Spec;
   bool Hit = false;
   for (const Candidate &C : Cands) {
-    WalkResult WR = fuzz::walkFrom(Img, F, C.Regs, C.MachineSeed,
+    WalkResult WR = fuzz::walkFrom(Img, F, Cache, C.Regs, C.MachineSeed,
                                    Opts.MaxSteps);
     ++Rec.Candidates;
     if (WantReach) {
@@ -588,6 +561,7 @@ diag::WitnessSummary searchBinary(const elf::BinaryImage &Img,
       add(D.Prov.FunctionEntry, D.Prov.Addr, D.Kind);
     }
 
+  std::map<const hg::FunctionResult *, fuzz::WalkCache> Caches;
   for (const Site &S : Sites) {
     const hg::FunctionResult *F = nullptr;
     for (const hg::FunctionResult &Fn : R.Functions)
@@ -602,7 +576,8 @@ diag::WitnessSummary searchBinary(const elf::BinaryImage &Img,
       Rec.DiagKindName = diag::diagKindName(S.Kind);
       Rec.Reason = "function-not-lifted";
     } else {
-      Rec = probeSite(Img, R, *F, S.Addr, S.Kind, Opts, ElfBytes);
+      fuzz::WalkCache &Cache = Caches.try_emplace(F, *F).first->second;
+      Rec = probeSite(Img, R, *F, Cache, S.Addr, S.Kind, Opts, ElfBytes);
     }
     ++Sum.Searched;
     if (Rec.Verdict == "confirmed")

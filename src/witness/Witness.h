@@ -40,6 +40,7 @@
 
 #include "api/Hglift.h"
 #include "export/HoareChecker.h"
+#include "fuzz/Oracle.h"
 #include "hg/Lifter.h"
 
 #include <cstdint>
@@ -64,19 +65,22 @@ struct WitnessOptions {
 
 /// Search one diagnostic site of one lifted function. Clean is the binary
 /// result F belongs to (the reducer needs its graphs for instruction
-/// atoms); ElfBytes, when available, enables reduction and sidecar
+/// atoms); Cache is F's walk cache, shared by every candidate and every
+/// site of F; ElfBytes, when available, enables reduction and sidecar
 /// writing. Returns the record whatever the verdict — an unconfirmed site
 /// always carries a Reason, never silence.
 diag::WitnessRecord probeSite(const elf::BinaryImage &Img,
                               const hg::BinaryResult &Clean,
-                              const hg::FunctionResult &F, uint64_t SiteAddr,
+                              const hg::FunctionResult &F,
+                              fuzz::WalkCache &Cache, uint64_t SiteAddr,
                               diag::DiagKind Kind, const WitnessOptions &Opts,
                               const std::vector<uint8_t> *ElfBytes = nullptr);
 
 /// Search every eligible diagnostic of a lift-and-check run: lifter
 /// VerificationErrors and UnsoundnessAnnotations from R, plus Step-2
 /// VerificationErrors from Check (null = lift-only run). Sites are
-/// deduplicated by (function, addr, kind) in report order.
+/// deduplicated by (function, addr, kind) in report order; the sites of
+/// one function share its walk cache.
 diag::WitnessSummary searchBinary(const elf::BinaryImage &Img,
                                   const hg::BinaryResult &R,
                                   const exporter::CheckResult *Check,

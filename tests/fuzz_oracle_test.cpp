@@ -7,9 +7,18 @@
 // clauses, the four flag-abstraction kinds, memory cells, range clauses,
 // fresh-leaf havoc, and bottom — including negative cases for each.
 //
+// The walk cache (fuzz::WalkCache) must be invisible: walks sharing one
+// cache per function return exactly what walks with a fresh cache each
+// return, and SymExec::step runs at most once per explored vertex per
+// cache.
+//
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Oracle.h"
+
+#include "api/Hglift.h"
+#include "corpus/Suites.h"
+#include "fuzz/Mutants.h"
 
 #include <gtest/gtest.h>
 
@@ -250,6 +259,121 @@ TEST_F(StateSatisfiesTest, ConjunctionFailsOnAnyClause) {
   EXPECT_TRUE(stateSatisfies(P, CC, M));
   M.store(0x8000, 8, 3); // one violated clause sinks the conjunction
   EXPECT_FALSE(stateSatisfies(P, CC, M));
+}
+
+/// Walk from the entry state seed Seed draws (walkOnce's distribution).
+fuzz::WalkResult seededWalk(const elf::BinaryImage &Img,
+                            const hg::FunctionResult &F,
+                            fuzz::WalkCache &Cache, uint64_t Seed) {
+  Rng R(Seed);
+  uint64_t MachineSeed = R.next();
+  std::array<uint64_t, x86::NumGPRs> Init{};
+  for (unsigned RI = 0; RI < x86::NumGPRs; ++RI)
+    Init[RI] = R.chance(1, 3) ? R.below(1000) : R.next();
+  return fuzz::walkFrom(Img, F, Cache, Init, MachineSeed);
+}
+
+void expectSameWalk(const fuzz::WalkResult &A, const fuzz::WalkResult &B) {
+  EXPECT_EQ(A.Trace, B.Trace);
+  EXPECT_EQ(A.States, B.States);
+  ASSERT_EQ(A.Violated, B.Violated);
+  if (!A.Violated)
+    return;
+  EXPECT_EQ(A.V.K, B.V.K);
+  EXPECT_EQ(A.V.Addr, B.V.Addr);
+  EXPECT_EQ(A.V.PrevRip, B.V.PrevRip);
+  EXPECT_EQ(A.V.NextRip, B.V.NextRip);
+  EXPECT_EQ(A.V.Message, B.V.Message);
+  ASSERT_EQ(A.V.HasFail, B.V.HasFail);
+  EXPECT_EQ(A.V.Fail.Clause, B.V.Fail.Clause);
+}
+
+/// Lift BB (under Mutant, if given), then for every lifted function: 16
+/// seeded walks sharing one cache against the same walks with a fresh
+/// cache each. Returns the number of violated walks.
+size_t checkWalkCache(const corpus::BuiltBinary &BB,
+                      const char *Mutant = nullptr) {
+  constexpr uint64_t Seeds = 16;
+  const elf::BinaryImage &Img = BB.Img;
+  Options O;
+  O.Lift.Threads = 1;
+  Session S(Img, O);
+  if (Mutant) {
+    fuzz::MutantInstall MI(*fuzz::findMutant(Mutant));
+    S.lift();
+  }
+  const hg::BinaryResult &R = S.lift();
+  size_t Violated = 0, Lifted = 0;
+  for (const hg::FunctionResult &F : R.Functions) {
+    if (F.Outcome != hg::LiftOutcome::Lifted)
+      continue;
+    ++Lifted;
+    size_t Explored = 0;
+    for (const auto &KV : F.Graph.Vertices)
+      Explored += KV.second.Explored;
+    sem::SymExec &Exec = F.Arena->exec();
+    LiftStats Stats;
+    Exec.setStats(&Stats);
+
+    fuzz::WalkCache Shared(F);
+    std::vector<fuzz::WalkResult> SharedRuns;
+    for (uint64_t Seed = 1; Seed <= Seeds; ++Seed)
+      SharedRuns.push_back(seededWalk(Img, F, Shared, Seed));
+    EXPECT_EQ(Stats.Steps, Shared.size());
+    EXPECT_LE(Stats.Steps, Explored) << "function " << F.Entry;
+
+    for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
+      SCOPED_TRACE("function " + std::to_string(F.Entry) + " seed " +
+                   std::to_string(Seed));
+      Stats = LiftStats();
+      fuzz::WalkCache Fresh(F);
+      fuzz::WalkResult W = seededWalk(Img, F, Fresh, Seed);
+      EXPECT_EQ(Stats.Steps, Fresh.size());
+      EXPECT_LE(Stats.Steps, Explored);
+      expectSameWalk(SharedRuns[Seed - 1], W);
+      Violated += W.Violated;
+    }
+    Exec.setStats(nullptr);
+  }
+  EXPECT_GT(Lifted, 0u);
+  return Violated;
+}
+
+const corpus::BuiltBinary &table2Du() {
+  static const std::vector<corpus::Table2Entry> Suite =
+      corpus::buildCoreutilsSuite();
+  for (const corpus::Table2Entry &E : Suite)
+    if (E.Name == "du")
+      return E.Binary;
+  ADD_FAILURE() << "no du in the Table-2 suite";
+  return Suite.front().Binary;
+}
+
+TEST(WalkCache, SharedCacheMatchesFreshCacheOnTable2Du) {
+  const corpus::BuiltBinary &BB = table2Du();
+  checkWalkCache(BB);
+}
+
+TEST(WalkCache, SharedCacheMatchesFreshCacheOnXen49) {
+  std::vector<corpus::SuiteRow> Rows =
+      corpus::buildXenSuite(corpus::SuiteOptions());
+  size_t Idx = 0;
+  for (corpus::SuiteRow &Row : Rows)
+    for (corpus::BuiltBinary &BB : Row.Binaries)
+      if (Idx++ == 49) {
+        ASSERT_FALSE(Row.IsLibrary);
+        checkWalkCache(BB);
+        return;
+      }
+  FAIL() << "the xen suite has fewer than 50 inputs";
+}
+
+TEST(WalkCache, SharedCacheMatchesFreshCacheOnViolatingWalks) {
+  // A lift under a semantics mutant the oracle kills: the walks stop at
+  // violations, so the failing clause the cache's successors yield is
+  // compared too.
+  const corpus::BuiltBinary &BB = table2Du();
+  EXPECT_GT(checkWalkCache(BB, "add-imm-off-by-one"), 0u);
 }
 
 } // namespace

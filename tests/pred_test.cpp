@@ -25,6 +25,32 @@ using x86::Reg;
 
 namespace {
 
+TEST(Pred, RelHoldsTruthTable) {
+  // Unsigned relations read the 64-bit patterns, signed ones their
+  // int64_t readings: -1 is the largest unsigned value and below 0 signed.
+  const uint64_t Neg1 = ~uint64_t(0), Min = uint64_t(1) << 63;
+  struct Row {
+    RelOp Op;
+    uint64_t V, B;
+    bool Holds;
+  } Rows[] = {
+      {RelOp::Eq, 5, 5, true},        {RelOp::Eq, 5, 6, false},
+      {RelOp::Ne, 5, 6, true},        {RelOp::Ne, Neg1, Neg1, false},
+      {RelOp::ULt, 4, 5, true},       {RelOp::ULt, 5, 5, false},
+      {RelOp::ULt, Neg1, 0, false},   {RelOp::ULe, 5, 5, true},
+      {RelOp::ULe, 6, 5, false},      {RelOp::UGe, 5, 5, true},
+      {RelOp::UGe, 0, Neg1, false},   {RelOp::UGt, Neg1, 0, true},
+      {RelOp::UGt, 5, 5, false},      {RelOp::SLt, Neg1, 0, true},
+      {RelOp::SLt, Min, Neg1, true},  {RelOp::SLt, 0, Neg1, false},
+      {RelOp::SLe, Neg1, Neg1, true}, {RelOp::SLe, 0, Min, false},
+      {RelOp::SGe, 0, Neg1, true},    {RelOp::SGe, Min, 0, false},
+      {RelOp::SGt, 1, 0, true},       {RelOp::SGt, Neg1, 0, false},
+  };
+  for (const Row &R : Rows)
+    EXPECT_EQ(pred::relHolds(R.Op, R.V, R.B), R.Holds)
+        << R.V << " " << pred::relOpName(R.Op) << " " << R.B;
+}
+
 TEST(Pred, EntryState) {
   ExprContext Ctx;
   Pred P = Pred::entry(Ctx);

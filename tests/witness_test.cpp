@@ -404,8 +404,9 @@ TEST(WitnessMutationCheck, KilledMutantsYieldConfirmedWitnesses) {
 
     witness::WitnessOptions WO;
     WO.Budget = 128;
+    fuzz::WalkCache Cache(*F);
     diag::WitnessRecord Rec =
-        witness::probeSite(Sub.BB->Img, R, *F, MO.KillAddr,
+        witness::probeSite(Sub.BB->Img, R, *F, Cache, MO.KillAddr,
                            diag::DiagKind::VerificationError, WO,
                            &Sub.BB->ElfBytes);
     ++Checked;
