@@ -263,6 +263,8 @@ std::vector<std::string> corpusToDisk(const std::vector<CorpusItem> &Corpus,
 struct ShardRun {
   bool Ok = false;
   double Wall = 0;
+  /// Parent seconds per started worker (0 for the serial run).
+  double SpawnPerWorker = 0;
   std::string Report;
 };
 
@@ -281,6 +283,8 @@ ShardRun runShardMode(const std::vector<std::string> &Paths,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
           .count();
   Out.Ok = R.Ok;
+  if (R.WorkersSpawned)
+    Out.SpawnPerWorker = R.SpawnSeconds / R.WorkersSpawned;
   Out.Report = std::move(R.MergedReport);
   if (!R.Ok)
     std::fprintf(stderr, "shard run (%u): %s\n", Shards, R.Error.c_str());
@@ -295,43 +299,66 @@ ShardRun runShardMode(const std::vector<std::string> &Paths,
 /// dominant binary behind its slice-mates; the pull scheduler starts it
 /// first (longest-job-first via the cost heuristic) and spreads the small
 /// ones over the remaining workers.
-std::vector<std::string> skewCorpusToDisk(const std::string &Dir) {
-  std::filesystem::create_directories(Dir);
-  std::vector<std::string> Paths;
-  auto Emit = [&](const corpus::GenOptions &G) {
-    auto BB = corpus::randomLibrary(G);
-    if (!BB) {
-      std::fprintf(stderr, "warning: skew item %s failed to build\n",
-                   G.Name.c_str());
-      return;
-    }
-    std::string P = Dir + "/" + G.Name + ".elf";
-    std::ofstream Out(P, std::ios::binary);
-    Out.write(reinterpret_cast<const char *>(BB->ElfBytes.data()),
-              static_cast<std::streamsize>(BB->ElfBytes.size()));
-    Paths.push_back(P);
-  };
-  for (unsigned I = 0; I < 12; ++I) {
+///
+/// The dominant has the small ones' per-function shape, with 11 functions
+/// against their 3: on a 4-thread x86-64 host its serial lift seconds
+/// measure 3.9-4.3x a small one's. skew.dominant_cost_ratio records this
+/// on every run, so drift in lift costs shows in the JSON. Under
+/// round-robin the dominant's worker runs it plus three small ones,
+/// D + 3s, and no schedule beats D, so the stealing speedup is at most
+/// (D+3s)/D: 1.75x at D = 4s, but only about 1.2x at D = 15s.
+std::vector<CorpusItem> skewCorpus() {
+  std::vector<CorpusItem> Items;
+  auto Add = [&](uint64_t Seed, unsigned Funcs, std::string Name) {
     corpus::GenOptions G;
-    G.Seed = 0x5e3d00 + I;
-    G.NumFuncs = 3;
+    G.Seed = Seed;
+    G.NumFuncs = Funcs;
     G.TargetInstrs = 40;
     G.JumpTablePct = 10;
-    G.Name = "skew_small_" + std::to_string(I);
-    Emit(G);
-    if (I == 3) {
-      // Index 4: worker 0's slice under a 4-worker round-robin, behind
-      // its index-0 small binary.
-      corpus::GenOptions D;
-      D.Seed = 0x5e3dff;
-      D.NumFuncs = 10;
-      D.TargetInstrs = 160;
-      D.JumpTablePct = 20;
-      D.Name = "skew_dominant";
-      Emit(D);
+    G.Name = std::move(Name);
+    if (auto BB = corpus::randomLibrary(G))
+      Items.push_back({G.Name, std::move(*BB), true});
+    else
+      std::fprintf(stderr, "warning: skew item %s failed to build\n",
+                   G.Name.c_str());
+  };
+  for (unsigned I = 0; I < 12; ++I) {
+    Add(0x5e3d00 + I, 3, "skew_small_" + std::to_string(I));
+    // Index 4: worker 0's slice under a 4-worker round-robin, behind its
+    // index-0 small binary.
+    if (I == 3)
+      Add(0x5e3dff, 11, "skew_dominant");
+  }
+  return Items;
+}
+
+/// The premise the skew gate rests on: the dominant's serial in-process
+/// lift seconds over the mean small one's. Each binary's cost is its
+/// fastest of Reps lifts, interleaved so load on the host hits all alike.
+double dominantCostRatio(const std::vector<CorpusItem> &Skew, int Reps) {
+  std::vector<double> Best(Skew.size(), -1);
+  for (int Rep = 0; Rep < Reps; ++Rep)
+    for (size_t I = 0; I < Skew.size(); ++I) {
+      auto T0 = std::chrono::steady_clock::now();
+      hg::Lifter L(Skew[I].BB.Img, hg::LiftConfig{});
+      L.liftLibrary();
+      double Secs =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+              .count();
+      if (Best[I] < 0 || Secs < Best[I])
+        Best[I] = Secs;
+    }
+  double Dominant = 0, Small = 0;
+  size_t NumSmall = 0;
+  for (size_t I = 0; I < Skew.size(); ++I) {
+    if (Skew[I].Name == "skew_dominant") {
+      Dominant = Best[I];
+    } else {
+      Small += Best[I];
+      ++NumSmall;
     }
   }
-  return Paths;
+  return NumSmall && Small > 0 ? Dominant / (Small / NumSmall) : 0;
 }
 
 struct SkewRun {
@@ -456,7 +483,7 @@ int main(int argc, char **argv) {
   // underneath, so auto-skip below 4 hardware threads.
   unsigned HwThreads = std::thread::hardware_concurrency();
   bool ScalingSkipped = Smoke || HwThreads < 4;
-  double ScalingSpeedup = 0;
+  double ScalingSpeedup = 0, SpawnMs = 0;
   bool ScalingPass = true;
   if (!ScalingSkipped) {
     // Re-run (cold caches) to time without first-run artifacts.
@@ -464,9 +491,10 @@ int main(int argc, char **argv) {
     ShardRun S4 = runShardMode(Paths, WorkRoot + "/cache_scale4", 4);
     ScalingSpeedup = S4.Wall > 0 ? S1.Wall / S4.Wall : 0;
     ScalingPass = S1.Ok && S4.Ok && ScalingSpeedup >= 1.3;
+    SpawnMs = 1e3 * S4.SpawnPerWorker;
     std::printf("scaling: serial %.3fs vs 4 workers %.3fs = %.2fx "
-                "(%u hw threads)\n\n",
-                S1.Wall, S4.Wall, ScalingSpeedup, HwThreads);
+                "(%u hw threads, %.2f ms to start each worker)\n\n",
+                S1.Wall, S4.Wall, ScalingSpeedup, HwThreads, SpawnMs);
   } else {
     std::printf("scaling: skipped (%s)\n\n",
                 Smoke ? "smoke mode"
@@ -483,12 +511,15 @@ int main(int argc, char **argv) {
       !SkewSkipped ? ""
       : Smoke      ? "smoke mode"
                    : "fewer than 4 hardware threads";
-  double SkewSpeedup = 0, SkewRRWall = 0, SkewWSWall = 0, SkewWarmWall = 0;
+  double SkewSpeedup = 0, SkewRRWall = 0, SkewWSWall = 0, SkewWarmWall = 0,
+         SkewCostRatio = 0;
   uint64_t SkewSteals = 0;
   bool SkewPass = true, SkewIdentical = true;
   if (!SkewSkipped) {
+    std::vector<CorpusItem> Skew = skewCorpus();
+    SkewCostRatio = dominantCostRatio(Skew, 5);
     std::vector<std::string> SkewPaths =
-        skewCorpusToDisk(WorkRoot + "/skew_elfs");
+        corpusToDisk(Skew, WorkRoot + "/skew_elfs");
     std::string SkewCacheRR = WorkRoot + "/cache_skew_rr";
     std::string SkewCacheWS = WorkRoot + "/cache_skew_ws";
     SkewRun RR = runSkewMode(SkewPaths, SkewCacheRR, /*Stealing=*/false,
@@ -510,9 +541,10 @@ int main(int argc, char **argv) {
     SkewIdentical = RR.Ok && WS.Ok && Warm.Ok && WS.Report == RR.Report &&
                     Warm.Report == RR.Report;
     SkewPass = SkewIdentical && SkewSpeedup >= 1.3;
-    std::printf("skew: round-robin %.3fs vs stealing %.3fs = %.2fx "
-                "(ledger-warm %.3fs, %llu steals); bytes %s\n\n",
-                RR.Wall, WS.Wall, SkewSpeedup, Warm.Wall,
+    std::printf("skew: dominant costs %.1fx a small one; round-robin "
+                "%.3fs vs stealing %.3fs = %.2fx (ledger-warm %.3fs, %llu "
+                "steals); bytes %s\n\n",
+                SkewCostRatio, RR.Wall, WS.Wall, SkewSpeedup, Warm.Wall,
                 (unsigned long long)WS.Steals,
                 SkewIdentical ? "identical" : "DIFFER");
   } else {
@@ -571,7 +603,8 @@ int main(int argc, char **argv) {
       << "  \"scaling\": {\n"
       << "    \"hardware_threads\": " << HwThreads << ",\n"
       << "    \"skipped\": " << (ScalingSkipped ? "true" : "false") << ",\n"
-      << "    \"speedup_4_workers\": " << jsonNum(ScalingSpeedup) << "\n"
+      << "    \"speedup_4_workers\": " << jsonNum(ScalingSpeedup) << ",\n"
+      << "    \"spawn_ms_per_worker\": " << jsonNum(SpawnMs) << "\n"
       << "  },\n"
       << "  \"skew\": {\n"
       << "    \"skipped\": " << (SkewSkipped ? "true" : "false") << ",\n"
@@ -581,6 +614,7 @@ int main(int argc, char **argv) {
       << ",\n"
       << "    \"ledger_warm_wall_seconds\": " << jsonNum(SkewWarmWall)
       << ",\n"
+      << "    \"dominant_cost_ratio\": " << jsonNum(SkewCostRatio) << ",\n"
       << "    \"speedup\": " << jsonNum(SkewSpeedup) << ",\n"
       << "    \"steals\": " << SkewSteals << ",\n"
       << "    \"bytes_identical\": " << (SkewIdentical ? "true" : "false")

@@ -22,11 +22,16 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
+#include <fcntl.h>
 #include <poll.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 namespace hglift::shard {
 
@@ -260,66 +265,69 @@ struct WorkerSlot {
   std::string Buf;
 };
 
-/// fork/exec one worker on fresh pipes. The crash hooks are planted in
-/// the child's environment only — the parent's environment is never
-/// touched, so sibling workers and the retry are unaffected. All other
-/// slots' pipe ends are closed in the child: a crashed sibling's request
-/// pipe must reach EOF in the parent, not stay open here.
-bool spawnWorker(const ShardOptions &Opt, const std::string &Exe,
-                 std::vector<WorkerSlot> &Slots, size_t SlotIdx,
-                 bool InjectCrashNow, bool InjectCrashMidClaim) {
+/// Start one worker on fresh pipes with posix_spawn, which (unlike fork)
+/// does not copy the parent's page tables: a library caller with a large
+/// heap starts a worker as cheaply as the CLI does. Every pipe end is
+/// created O_CLOEXEC, and the same-fd dup2 file actions clear the flag on
+/// the child's two ends in that child only, so no worker inherits a
+/// sibling's ends: a crashed sibling's request pipe reaches EOF in the
+/// parent. The crash hooks are planted in the child's envp only — the
+/// parent's environment is never touched, so sibling workers and the
+/// retry are unaffected. Returns 0, or the errno of the failed step; an
+/// executable that cannot be run fails here, not in the child.
+int spawnWorker(const ShardOptions &Opt, const std::string &Exe,
+                WorkerSlot &S, bool InjectCrashNow, bool InjectCrashMidClaim) {
   int Req[2], Grant[2];
-  if (::pipe(Req) != 0)
-    return false;
-  if (::pipe(Grant) != 0) {
+  if (::pipe2(Req, O_CLOEXEC) != 0)
+    return errno;
+  if (::pipe2(Grant, O_CLOEXEC) != 0) {
+    int Err = errno;
     ::close(Req[0]);
     ::close(Req[1]);
-    return false;
+    return Err;
   }
 
   std::vector<std::string> Args = workerArgs(Opt, Grant[0], Req[1], Exe);
-  std::vector<char *> Argv;
-  Argv.reserve(Args.size() + 1);
-  for (const std::string &A : Args)
-    Argv.push_back(const_cast<char *>(A.c_str()));
-  Argv.push_back(nullptr);
-
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(Req[0]);
-    ::close(Req[1]);
-    ::close(Grant[0]);
-    ::close(Grant[1]);
-    return false;
+  std::vector<std::string> Env;
+  for (char **E = environ; *E; ++E) {
+    std::string_view V(*E);
+    if (!V.starts_with("HGLIFT_SHARD_CRASH_NOW=") &&
+        !V.starts_with("HGLIFT_SHARD_CRASH_AFTER_CLAIM="))
+      Env.emplace_back(V);
   }
-  if (Pid == 0) {
-    for (const WorkerSlot &S : Slots) {
-      if (S.ReqR >= 0)
-        ::close(S.ReqR);
-      if (S.GrantW >= 0)
-        ::close(S.GrantW);
-    }
-    ::close(Req[0]);
-    ::close(Grant[1]);
-    if (InjectCrashNow)
-      ::setenv("HGLIFT_SHARD_CRASH_NOW", "1", 1);
-    else
-      ::unsetenv("HGLIFT_SHARD_CRASH_NOW");
-    if (InjectCrashMidClaim)
-      ::setenv("HGLIFT_SHARD_CRASH_AFTER_CLAIM", "1", 1);
-    else
-      ::unsetenv("HGLIFT_SHARD_CRASH_AFTER_CLAIM");
-    ::execv(Argv[0], Argv.data());
-    // exec failed: exit with the Usage code so the parent treats it as a
-    // crash-class failure and reports it after the retry also fails.
-    std::fprintf(stderr, "shard: cannot exec %s: %s\n", Argv[0],
-                 std::strerror(errno));
-    ::_exit(toExit(ExitCode::Usage));
-  }
+  if (InjectCrashNow)
+    Env.push_back("HGLIFT_SHARD_CRASH_NOW=1");
+  if (InjectCrashMidClaim)
+    Env.push_back("HGLIFT_SHARD_CRASH_AFTER_CLAIM=1");
+  auto CStrings = [](std::vector<std::string> &V) {
+    std::vector<char *> P;
+    P.reserve(V.size() + 1);
+    for (std::string &Str : V)
+      P.push_back(Str.data());
+    P.push_back(nullptr);
+    return P;
+  };
+  std::vector<char *> Argv = CStrings(Args), Envp = CStrings(Env);
 
+  posix_spawn_file_actions_t FA;
+  int Err = ::posix_spawn_file_actions_init(&FA);
+  if (!Err)
+    Err = ::posix_spawn_file_actions_adddup2(&FA, Grant[0], Grant[0]);
+  if (!Err)
+    Err = ::posix_spawn_file_actions_adddup2(&FA, Req[1], Req[1]);
+  pid_t Pid = -1;
+  if (!Err)
+    Err = ::posix_spawn(&Pid, Exe.c_str(), &FA, nullptr, Argv.data(),
+                        Envp.data());
+  ::posix_spawn_file_actions_destroy(&FA);
   ::close(Req[1]);
   ::close(Grant[0]);
-  WorkerSlot &S = Slots[SlotIdx];
+  if (Err) {
+    ::close(Req[0]);
+    ::close(Grant[1]);
+    return Err;
+  }
+
   S.Pid = Pid;
   S.ReqR = Req[0];
   S.GrantW = Grant[1];
@@ -329,7 +337,7 @@ bool spawnWorker(const ShardOptions &Opt, const std::string &Exe,
   S.ByeSent = false;
   S.Alive = true;
   S.Buf.clear();
-  return true;
+  return 0;
 }
 
 /// Live progress/ETA line on stderr. Carriage-return refreshed, final
@@ -680,6 +688,26 @@ ShardResult runShards(const ShardOptions &Opt) {
     std::string FatalError;
     int FatalExit = 0;
 
+    // Start slot SlotIdx's worker, timing the parent's share of it. An
+    // executable that cannot be run is a usage error, as it always was;
+    // running out of processes or memory is an IO-class failure.
+    auto Spawn = [&](size_t SlotIdx, bool CrashNow, bool CrashMidClaim) {
+      auto T0 = std::chrono::steady_clock::now();
+      int Err = spawnWorker(Opt, Exe, Slots[SlotIdx], CrashNow, CrashMidClaim);
+      R.SpawnSeconds += std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - T0)
+                            .count();
+      if (Err) {
+        FatalError = "cannot start shard worker " + Exe + ": " +
+                     std::strerror(Err);
+        FatalExit = toExit(Err == EAGAIN || Err == ENOMEM ? ExitCode::Io
+                                                          : ExitCode::Usage);
+        return false;
+      }
+      ++R.WorkersSpawned;
+      return true;
+    };
+
     auto CleanupAll = [&]() {
       for (WorkerSlot &S : Slots) {
         if (!S.Alive)
@@ -749,8 +777,7 @@ ShardResult runShards(const ShardOptions &Opt) {
       ::waitpid(S.Pid, &Status, 0);
       ::close(S.ReqR);
       ::close(S.GrantW);
-      // Scrub the fd numbers: a respawn's fresh pipes may reuse them, and
-      // the child closes every fd still recorded in the slot table.
+      // Scrub the fd numbers: a respawn's fresh pipes may reuse them.
       S.ReqR = -1;
       S.GrantW = -1;
       S.Alive = false;
@@ -768,12 +795,8 @@ ShardResult runShards(const ShardOptions &Opt) {
           return;
       }
       if (S.SpawnCount <= Opt.MaxRetries) {
-        if (!spawnWorker(Opt, Exe, Slots, SlotIdx, false, false)) {
-          FatalError = "fork failed";
-          FatalExit = toExit(ExitCode::Io);
+        if (!Spawn(SlotIdx, false, false))
           return;
-        }
-        ++R.WorkersSpawned;
         ++R.WorkersRetried;
       } else {
         FatalError = "shard worker " + std::to_string(SlotIdx) +
@@ -828,16 +851,10 @@ ShardResult runShards(const ShardOptions &Opt) {
       }
     };
 
-    for (size_t K = 0; K < Slots.size() && FatalError.empty(); ++K) {
-      if (!spawnWorker(Opt, Exe, Slots, K,
-                       static_cast<long>(K) == CrashSlot,
-                       static_cast<long>(K) == MidClaimSlot)) {
-        FatalError = "fork failed";
-        FatalExit = toExit(ExitCode::Io);
+    for (size_t K = 0; K < Slots.size(); ++K)
+      if (!Spawn(K, static_cast<long>(K) == CrashSlot,
+                 static_cast<long>(K) == MidClaimSlot))
         break;
-      }
-      ++R.WorkersSpawned;
-    }
 
     while (FatalError.empty()) {
       bool AnyAlive = false;

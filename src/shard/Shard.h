@@ -3,12 +3,12 @@
 // Corpus-level parallelism by process, not by thread — and since the
 // work-stealing rework, *pull-based*: the parent owns one queue of work
 // units and workers claim the next unit over a pipe protocol instead of
-// receiving a fixed slice at fork time. A worker that finishes early
+// receiving a fixed slice at spawn time. A worker that finishes early
 // simply pulls again, so a corpus with one dominant binary no longer
 // leaves N-1 processes idle behind a straggler.
 //
-//   parent                           worker k (fork/exec of hglift with
-//     planUnits(): cost-model         `--shard-worker-fds G,R`)
+//   parent                           worker k (posix_spawn of hglift
+//     planUnits(): cost-model         with `--shard-worker-fds G,R`)
 //     ordered queue                     |
 //     |  <-- "REQ"  -------------------+   claim the next unit
 //     |  --- "RUN <id> ..." -->        |   lift it, write its fragment
@@ -196,8 +196,9 @@ struct ShardResult {
   /// Human-readable failure description when !Ok.
   std::string Error;
   /// Aggregate exit code per driver/ExitCode.h: 0 = every binary lifted
-  /// (and proved, under Check), 1 = at least one rejected, 3 = artifact
-  /// IO failure.
+  /// (and proved, under Check), 1 = at least one rejected, 2 = usage (no
+  /// inputs, no CacheDir, a worker executable that cannot be started),
+  /// 3 = artifact IO failure.
   int Exit = 0;
   /// Worker count the run actually used (after `--shards auto` probing
   /// and capping by the unit count).
@@ -206,6 +207,9 @@ struct ShardResult {
   /// Workers that died on a signal or exited without draining cleanly.
   unsigned WorkersCrashed = 0;
   unsigned WorkersRetried = 0;
+  /// Parent wall seconds spent starting worker processes, retries
+  /// included (0 for the in-process serial run).
+  double SpawnSeconds = 0;
   /// Scheduler counters (units, claims, steals, requeues, ledger usage).
   ShardSchedStats Sched;
   /// The merged report: {"shard_schema_version": 1, "binaries": [f0, f1,

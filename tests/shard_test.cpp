@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -327,6 +328,31 @@ TEST(ShardErrors, UsageAndIoFailuresAreReportedNotHung) {
   EXPECT_EQ(R.Exit, 1);
   EXPECT_NE(R.MergedReport.find("\"outcome\": \"unreadable\""),
             std::string::npos);
+}
+
+TEST(ShardErrors, UnstartableWorkerFailsPromptlyWithUsage) {
+  // A worker executable that cannot be run fails the whole run at once
+  // with the usage code and names the executable; no worker is started.
+  std::string NotExecutable = tmpPath("not-executable");
+  std::ofstream(NotExecutable) << "#!/bin/sh\n";
+  fs::permissions(NotExecutable,
+                  fs::perms::owner_read | fs::perms::owner_write);
+  for (const std::string &Exe : {tmpPath("no-such-hglift"), NotExecutable}) {
+    std::string Dir = tmpPath("cache_noexe");
+    fs::remove_all(Dir);
+    shard::ShardOptions O = baseOptions(Dir, 2);
+    O.WorkerExe = Exe;
+    auto T0 = std::chrono::steady_clock::now();
+    shard::ShardResult R = shard::runShards(O);
+    double Secs = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
+    EXPECT_FALSE(R.Ok) << Exe;
+    EXPECT_EQ(R.Exit, 2) << R.Error;
+    EXPECT_NE(R.Error.find(Exe), std::string::npos) << R.Error;
+    EXPECT_EQ(R.WorkersSpawned, 0u);
+    EXPECT_LT(Secs, 5.0) << "an unstartable worker stalled the run";
+  }
 }
 
 } // namespace
